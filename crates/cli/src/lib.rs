@@ -1271,6 +1271,8 @@ mod tests {
         assert_eq!(run(stats.clone(), &mut log), 0);
         let text = String::from_utf8(log).unwrap();
         assert!(text.contains("ok"), "{text}");
+        // Replicated-put accounting is on the operator's screen.
+        assert!(text.contains("store.peer_records"), "{text}");
 
         // The store latches read-only; the same probe now exits 1 so
         // monitoring cron notices the node stopped taking writes.

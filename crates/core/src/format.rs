@@ -340,6 +340,29 @@ pub fn read_container(data: &[u8]) -> Result<Container<'_>, LeptonError> {
     })
 }
 
+/// Length of the container at the start of `data`: the fixed
+/// envelope, the zlib blob, and the packet section through its 0xFF
+/// terminator. Decoding stops at the terminator, so bytes after it
+/// never change the output; a caller that must hold exactly one
+/// container (the blockstore's peer-record gate) compares this with
+/// the length it was given. Checks framing only — the zlib blob is
+/// not inflated and no packet is decoded.
+pub fn container_len(data: &[u8]) -> Result<usize, LeptonError> {
+    if data.len() < 28 || data[0..2] != MAGIC {
+        return Err(LeptonError::BadMagic);
+    }
+    let zlen = u32::from_le_bytes(data[24..28].try_into().expect("4")) as usize;
+    let start = 28 + zlen;
+    if start > data.len() {
+        return Err(LeptonError::CorruptContainer("zlib blob truncated"));
+    }
+    let mut iter = packets(&data[start..]);
+    for packet in iter.by_ref() {
+        packet?;
+    }
+    Ok(start + iter.pos + 1)
+}
+
 /// Iterate the interleaved arithmetic packets: yields `(segment id,
 /// payload)`; ends at the 0xFF terminator.
 pub fn packets(arith_section: &[u8]) -> PacketIter<'_> {
@@ -395,6 +418,19 @@ impl<'a> Iterator for PacketIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn container_len_ends_at_the_terminator() {
+        let streams = vec![vec![1u8; 5000], vec![2u8; 10]];
+        let c = write_container(&sample_header(), &streams);
+        assert_eq!(container_len(&c).unwrap(), c.len());
+        let mut trailing = c.clone();
+        trailing.extend_from_slice(b"garbage");
+        assert_eq!(container_len(&trailing).unwrap(), c.len());
+        assert!(container_len(&c[..c.len() - 1]).is_err(), "no terminator");
+        assert!(container_len(&c[..30]).is_err(), "truncated zlib blob");
+        assert!(container_len(b"not a container at all, nope").is_err());
+    }
 
     fn sample_header() -> ContainerHeader {
         ContainerHeader {

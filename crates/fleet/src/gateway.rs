@@ -1,7 +1,7 @@
 //! The fleet gateway: N live blockserver nodes acting as one store.
 //!
 //! A [`FleetGateway`] fronts a set of conversion services (each
-//! running the `BlockPut`/`BlockGet`/`BlockStat`/`BlockList` ops over
+//! running the `BlockPut`/`BlockPutRecord`/`BlockGet`/`BlockStat`/`BlockList` ops over
 //! the UDS/TCP wire protocol) and gives callers the single-store
 //! surface the paper's blockserver clients saw, with the fleet
 //! mechanics hidden behind it:
@@ -12,7 +12,8 @@
 //! * **Writes** — `put` writes to all R replicas in ring order and
 //!   succeeds once the first (acting primary) acks; fewer than R acks
 //!   is counted as a partial write for the rebalance/repair machinery
-//!   to close later.
+//!   to close later. The primary encodes; the others receive its
+//!   verified record and only prove it, so a put encodes once.
 //! * **Reads** — `get` tries replicas in ring order and fails over on
 //!   error or timeout; when a later replica serves the block, the
 //!   copies observed missing or damaged on earlier replicas are
@@ -36,6 +37,7 @@ use lepton_obs::{Counter, Registry, Watchdog, WatchdogConfig};
 use lepton_server::client::{self, retry_with_backoff, ClientError, RetryPolicy};
 use lepton_server::protocol::BlockStatReply;
 use lepton_server::Endpoint;
+use lepton_storage::blockstore::Record;
 use lepton_storage::sha256::{sha256, Digest};
 use std::sync::Arc;
 use std::time::Duration;
@@ -361,6 +363,14 @@ impl FleetGateway {
     /// replica (the acting primary) acks; replicas that could not be
     /// written are left to read-repair/rebalance and counted as a
     /// partial write.
+    ///
+    /// The block is encoded once. Replicas are asked in ring order to
+    /// admit it themselves until one hands back the record it
+    /// committed; every later replica gets the original plus that
+    /// record, and stores the record once it has proven it decodes to
+    /// the original (or encodes for itself if the proof fails). A
+    /// dedup hit or a failed replica hands back no record, so the next
+    /// replica admits the block itself.
     pub fn put(&self, data: &[u8]) -> Result<Digest, FleetError> {
         let key = sha256(data);
         let members = self.replica_set(&key);
@@ -369,18 +379,21 @@ impl FleetGateway {
         }
         let mut acks = 0usize;
         let mut last: Option<ClientError> = None;
+        let mut record: Option<Record> = None;
         for &m in &members {
             let node = &self.nodes[m];
             if !node.health.admit() {
                 continue;
             }
+            let peer = record.as_ref().map(|(f, r)| (*f, r.as_slice()));
             match retry_with_backoff(&self.cfg.retry, |_| {
-                client::block_put(&node.endpoint, data, self.cfg.timeout)
+                client::block_put_record(&node.endpoint, data, peer, self.cfg.timeout)
             }) {
-                Ok(acked) if acked == key => {
+                Ok((acked, written)) if acked == key => {
                     self.record_outcome(m, true);
                     self.watchdog.record_event(false, false);
                     acks += 1;
+                    record = record.or(written);
                 }
                 Ok(_) => {
                     // A node that acks the wrong address is broken.

@@ -12,9 +12,12 @@
 
 use crate::endpoint::{Conn, Endpoint};
 use crate::protocol::{
-    read_bounded, read_frame, write_frame, BlockStatReply, Frame, Op, StatsReply, Status, MUX_MAGIC,
+    read_bounded, read_frame, write_frame, BlockStatReply, Frame, Op, RecordPut, StatsReply,
+    Status, MUX_MAGIC,
 };
 use lepton_obs::Snapshot;
+use lepton_storage::blockstore::Record;
+use lepton_storage::StoredFormat;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::time::Duration;
@@ -224,9 +227,22 @@ pub fn convert(
     payload: &[u8],
     timeout: Duration,
 ) -> Result<(Status, Vec<u8>), ClientError> {
+    convert_parts(ep, op, &[payload], timeout)
+}
+
+/// [`convert`] with the payload written as consecutive `parts`, so a
+/// request assembled from several buffers is never copied into one.
+fn convert_parts(
+    ep: &Endpoint,
+    op: Op,
+    parts: &[&[u8]],
+    timeout: Duration,
+) -> Result<(Status, Vec<u8>), ClientError> {
     let mut conn = ep.connect(Some(timeout))?;
     conn.write_all(&[op.to_wire()])?;
-    conn.write_all(payload)?;
+    for part in parts {
+        conn.write_all(part)?;
+    }
     conn.flush()?;
     conn.shutdown_write()?;
 
@@ -301,6 +317,40 @@ pub fn block_put(ep: &Endpoint, data: &[u8], timeout: Duration) -> Result<[u8; 3
     match convert(ep, Op::BlockPut, data, timeout)? {
         (Status::Ok, body) => <[u8; 32]>::try_from(body.as_slice())
             .map_err(|_| ClientError::Garbled("block address size")),
+        (status, _) => Err(ClientError::Refused(status)),
+    }
+}
+
+/// Store a block through [`Op::BlockPutRecord`]. With `record` unset
+/// the node admits the block itself and hands back the record it
+/// committed (`None` when it already held the block); with a peer's
+/// record the node admits that record once it has proven it, and
+/// hands back `None`.
+pub fn block_put_record(
+    ep: &Endpoint,
+    data: &[u8],
+    record: Option<(StoredFormat, &[u8])>,
+    timeout: Duration,
+) -> Result<([u8; 32], Option<Record>), ClientError> {
+    let header = RecordPut::header(record);
+    let body = record.map_or(&[][..], |(_, r)| r);
+    match convert_parts(ep, Op::BlockPutRecord, &[&header, body, data], timeout)? {
+        (Status::Ok, mut body) if body.len() >= 32 => {
+            // Strip the address in place: the record stays in the
+            // buffer it arrived in.
+            let head: Vec<u8> = body.drain(..body.len().min(33)).collect();
+            let key = <[u8; 32]>::try_from(&head[..32]).expect("32 bytes");
+            let written = match head.get(32) {
+                None => None,
+                Some(&tag) => match StoredFormat::from_byte(tag) {
+                    Some(StoredFormat::Lepton) => Some((StoredFormat::Lepton, body)),
+                    Some(StoredFormat::Raw) if body.is_empty() => Some((StoredFormat::Raw, body)),
+                    _ => return Err(ClientError::Garbled("block put record reply")),
+                },
+            };
+            Ok((key, written))
+        }
+        (Status::Ok, _) => Err(ClientError::Garbled("block address size")),
         (status, _) => Err(ClientError::Refused(status)),
     }
 }

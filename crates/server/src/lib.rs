@@ -24,9 +24,9 @@
 //!   shutoff-switch file (§5.7), graceful drain on shutdown.
 //! * [`client`] — blocking one-shot conversion client with timeout
 //!   classification for the §6.6 "exceeded the timeout window" path,
-//!   blockstore access (`block_put`/`block_get`/`block_stat`), and
-//!   [`client::MuxClient`] for pipelining many requests over one
-//!   connection.
+//!   blockstore access (`block_put`/`block_put_record`/`block_get`/
+//!   `block_stat`), and [`client::MuxClient`] for pipelining many
+//!   requests over one connection.
 //! * [`router`] — outsourcing: power-of-two-choices selection over a
 //!   dedicated cluster ("To dedicated") or the blockserver fleet
 //!   itself ("To self"), with local fallback (§5.5, Fig. 9/10).

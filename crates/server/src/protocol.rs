@@ -42,6 +42,7 @@
 //! with any other byte gets the classic half-close protocol.
 
 use lepton_core::ExitCode;
+use lepton_storage::StoredFormat;
 use std::io::{self, Read, Write};
 
 /// Request operation, the first byte on the wire.
@@ -82,6 +83,14 @@ pub enum Op {
     /// listing op — future work; until then the client surfaces the
     /// overflow as a non-transient `InvalidData` error.
     BlockList,
+    /// A block put that carries the record one replica committed to
+    /// the next, so a replicated write encodes once. The body is a
+    /// [`RecordPut`]. Without a record the node admits the block
+    /// itself, exactly as [`Op::BlockPut`], and its reply appends the
+    /// record it committed (see [`RecordPut::reply`]); with a peer's
+    /// record the node admits that record only after proving it
+    /// decodes to the original, and replies with the address alone.
+    BlockPutRecord,
 }
 
 impl Op {
@@ -97,6 +106,7 @@ impl Op {
             Op::BlockGet => b'G',
             Op::BlockStat => b'T',
             Op::BlockList => b'L',
+            Op::BlockPutRecord => b'R',
         }
     }
 
@@ -112,13 +122,14 @@ impl Op {
             b'G' => Some(Op::BlockGet),
             b'T' => Some(Op::BlockStat),
             b'L' => Some(Op::BlockList),
+            b'R' => Some(Op::BlockPutRecord),
             _ => None,
         }
     }
 
     /// Every op, in wire-introduction order. Drives per-op metric
     /// arrays and exhaustiveness tests.
-    pub const ALL: [Op; 9] = [
+    pub const ALL: [Op; 10] = [
         Op::Compress,
         Op::Decompress,
         Op::Ping,
@@ -128,6 +139,7 @@ impl Op {
         Op::BlockGet,
         Op::BlockStat,
         Op::BlockList,
+        Op::BlockPutRecord,
     ];
 
     /// Stable lowercase label used in metric names
@@ -143,6 +155,7 @@ impl Op {
             Op::BlockGet => "block_get",
             Op::BlockStat => "block_stat",
             Op::BlockList => "block_list",
+            Op::BlockPutRecord => "block_put_record",
         }
     }
 
@@ -158,6 +171,7 @@ impl Op {
             Op::BlockGet => 6,
             Op::BlockStat => 7,
             Op::BlockList => 8,
+            Op::BlockPutRecord => 9,
         }
     }
 }
@@ -391,6 +405,77 @@ impl BlockStatReply {
         } else {
             1.0 - self.stored_bytes as f64 / self.logical_bytes as f64
         }
+    }
+}
+
+/// The body of an [`Op::BlockPutRecord`] request:
+///
+/// ```text
+/// format:u8 len:u32le record[len] original[..]
+/// ```
+///
+/// `format` is a [`StoredFormat`] tag (`'L'` with the container, `'R'`
+/// with an empty record), or `0` with an empty record when the sender
+/// has no record yet and asks the node to admit the block itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecordPut<'a> {
+    /// The peer's record, when there is one.
+    pub record: Option<(StoredFormat, &'a [u8])>,
+    /// The block's original bytes.
+    pub original: &'a [u8],
+}
+
+/// Bytes before an [`Op::BlockPutRecord`] record: the format tag and
+/// the record length.
+const RECORD_PUT_HEADER_LEN: usize = 5;
+
+impl<'a> RecordPut<'a> {
+    /// The header for `record`; the sender writes it, then the record,
+    /// then the original, so no buffer ever holds all three.
+    pub fn header(record: Option<(StoredFormat, &[u8])>) -> [u8; RECORD_PUT_HEADER_LEN] {
+        let (tag, len) = record.map_or((0, 0), |(f, r)| {
+            let len = u32::try_from(r.len()).expect("a record fits the 64 MiB response budget");
+            (f.to_byte(), len)
+        });
+        let mut h = [0u8; RECORD_PUT_HEADER_LEN];
+        h[0] = tag;
+        h[1..].copy_from_slice(&len.to_le_bytes());
+        h
+    }
+
+    /// Parse a request body. `None` for a truncated header, a length
+    /// past the end, an unknown format, or a record where none may be
+    /// (a raw record, or no format).
+    pub fn parse(body: &'a [u8]) -> Option<RecordPut<'a>> {
+        let header = body.get(..RECORD_PUT_HEADER_LEN)?;
+        let len = u32::from_le_bytes(header[1..].try_into().expect("4 bytes")) as usize;
+        let rest = &body[RECORD_PUT_HEADER_LEN..];
+        if len > rest.len() {
+            return None;
+        }
+        let (record, original) = rest.split_at(len);
+        let record = match header[0] {
+            0 if len == 0 => None,
+            tag => match StoredFormat::from_byte(tag)? {
+                StoredFormat::Raw if len > 0 => return None,
+                format => Some((format, record)),
+            },
+        };
+        Some(RecordPut { record, original })
+    }
+
+    /// The reply to a put without a record: the address, then — when
+    /// the put wrote a new record — its format tag and, for Lepton, the
+    /// container.
+    pub fn reply(key: &[u8; 32], written: Option<&(StoredFormat, Vec<u8>)>) -> Vec<u8> {
+        let extra = written.map_or(0, |(_, r)| 1 + r.len());
+        let mut out = Vec::with_capacity(32 + extra);
+        out.extend_from_slice(key);
+        if let Some((format, record)) = written {
+            out.push(format.to_byte());
+            out.extend_from_slice(record);
+        }
+        out
     }
 }
 
@@ -633,6 +718,62 @@ mod tests {
         write_response(&mut out, Status::Rejected(ExitCode::Progressive), b"p").unwrap();
         assert_eq!(out[0], Status::Rejected(ExitCode::Progressive).to_wire());
         assert_eq!(&out[1..], b"p");
+    }
+
+    #[test]
+    fn record_put_roundtrips_and_refuses_malformed_bodies() {
+        let body = |record: Option<(StoredFormat, &[u8])>, original: &[u8]| {
+            let mut b = RecordPut::header(record).to_vec();
+            b.extend_from_slice(record.map_or(&[][..], |(_, r)| r));
+            b.extend_from_slice(original);
+            b
+        };
+        for record in [
+            None,
+            Some((StoredFormat::Raw, &b""[..])),
+            Some((StoredFormat::Lepton, &b"container"[..])),
+        ] {
+            let b = body(record, b"original");
+            let put = RecordPut::parse(&b).unwrap();
+            assert_eq!(put.record, record);
+            assert_eq!(put.original, b"original");
+        }
+        let good = body(Some((StoredFormat::Lepton, b"rec")), b"orig");
+        assert_eq!(
+            RecordPut::parse(&good[..4]),
+            None,
+            "truncated length prefix"
+        );
+        let mut past_end = good.clone();
+        past_end[1..5].copy_from_slice(&1000u32.to_le_bytes());
+        assert_eq!(RecordPut::parse(&past_end), None, "length past the end");
+        let mut unknown = good.clone();
+        unknown[0] = b'Q';
+        assert_eq!(RecordPut::parse(&unknown), None, "unknown format");
+        let mut raw_with_bytes = good.clone();
+        raw_with_bytes[0] = b'R';
+        assert_eq!(
+            RecordPut::parse(&raw_with_bytes),
+            None,
+            "raw carries no record"
+        );
+        let mut none_with_bytes = good;
+        none_with_bytes[0] = 0;
+        assert_eq!(
+            RecordPut::parse(&none_with_bytes),
+            None,
+            "no format, no record"
+        );
+    }
+
+    #[test]
+    fn record_put_reply_appends_what_was_written() {
+        let key = [9u8; 32];
+        assert_eq!(RecordPut::reply(&key, None), key.to_vec());
+        let raw = RecordPut::reply(&key, Some(&(StoredFormat::Raw, Vec::new())));
+        assert_eq!((raw.len(), raw[32]), (33, b'R'));
+        let lep = RecordPut::reply(&key, Some(&(StoredFormat::Lepton, b"rec".to_vec())));
+        assert_eq!(&lep[32..], b"Lrec");
     }
 
     #[test]

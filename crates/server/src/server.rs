@@ -28,10 +28,11 @@
 //! * **Conversion jobs** from framed connections flow through one
 //!   bounded job queue into a fixed worker pool.
 //! * **Admission control** sheds compress-side work (`Compress`,
-//!   `BlockPut`) with a fast typed [`Status::Overloaded`] when the job
-//!   queue is full or the codec engine's own queue is already deep —
-//!   the caller falls back (Deflate, another replica) exactly as it
-//!   does for the §5.7 shutoff switch. Decode-side work is **never
+//!   `BlockPut`, `BlockPutRecord`) with a fast typed
+//!   [`Status::Overloaded`] when the job queue is full or the codec
+//!   engine's own queue is already deep — the caller falls back
+//!   (Deflate, another replica) exactly as it does for the §5.7
+//!   shutoff switch. Decode-side work is **never
 //!   shed**: reads trump everything, so a full queue blocks the driver
 //!   (backpressure) instead of refusing the read.
 //!
@@ -43,8 +44,8 @@
 use crate::endpoint::{Conn, Endpoint, Listener};
 use crate::gauge::ConcurrencyGauge;
 use crate::protocol::{
-    read_bounded, read_frame, write_frame, write_response, BlockStatReply, Op, StatsReply, Status,
-    MUX_MAGIC,
+    read_bounded, read_frame, write_frame, write_response, BlockStatReply, Op, RecordPut,
+    StatsReply, Status, MUX_MAGIC,
 };
 use lepton_core::{CompressOptions, ExitCode};
 use lepton_obs::{Counter, Gauge, Histogram, Registry, Snapshot, Watchdog, WatchdogConfig};
@@ -267,9 +268,17 @@ pub fn serve(endpoint: &Endpoint, cfg: ServiceConfig) -> std::io::Result<Service
     // snapshot is a read, not a collection effort.
     let registry = Arc::new(Registry::new());
     let metrics = Arc::new(ServiceMetrics::on_registry(&registry));
+    // Both put shapes write one block replica, so they share the
+    // `block_put` histogram: its count stays "block writes served".
     let op_latency = Op::ALL
         .iter()
-        .map(|op| registry.histogram(&format!("server.op.{}.latency_us", op.name())))
+        .map(|&op| {
+            let family = match op {
+                Op::BlockPutRecord => Op::BlockPut,
+                op => op,
+            };
+            registry.histogram(&format!("server.op.{}.latency_us", family.name()))
+        })
         .collect();
     if let Some(store) = cfg.blockstore.as_deref() {
         store.bind_registry(&registry, "store");
@@ -676,7 +685,7 @@ fn drive_mux(conn: Conn, shared: &Arc<Shared>) {
 /// §5.7 asymmetry: refused writes have a fallback (Deflate, raw, a
 /// different replica), refused reads are user-visible data loss.
 fn sheds(op: Op) -> bool {
-    matches!(op, Op::Compress | Op::BlockPut)
+    matches!(op, Op::Compress | Op::BlockPut | Op::BlockPutRecord)
 }
 
 fn shed(shared: &Shared) {
@@ -764,7 +773,7 @@ fn execute_op_inner(shared: &Arc<Shared>, op: Op, payload: &[u8]) -> (Status, Ve
                 }
             }
         }
-        Op::BlockPut | Op::BlockGet | Op::BlockStat | Op::BlockList => {
+        Op::BlockPut | Op::BlockPutRecord | Op::BlockGet | Op::BlockStat | Op::BlockList => {
             let Some(store) = cfg.blockstore.as_deref() else {
                 metrics.failed.inc();
                 return (Status::BadRequest, Vec::new());
@@ -786,29 +795,51 @@ fn execute_block_op(
     let cfg = &shared.cfg;
     let metrics = &shared.metrics;
     match op {
-        Op::BlockPut => {
+        Op::BlockPut | Op::BlockPutRecord => {
+            let parsed = match op {
+                Op::BlockPut => Some(RecordPut {
+                    record: None,
+                    original: payload,
+                }),
+                _ => RecordPut::parse(payload),
+            };
+            let Some(put) = parsed else {
+                metrics.failed.inc();
+                return (Status::BadRequest, Vec::new());
+            };
             let _lease = shared.gauge.acquire();
             // A job trace for the storage leg: the codec stages inside
-            // `store.put` run on engine workers under their own spans;
-            // this span owns the `store` stage of the canonical
+            // the store's put run on engine workers under their own
+            // spans; this span owns the `store` stage of the canonical
             // parse → decode → code → verify → store chain.
             let span = lepton_obs::span_enter("block_put");
             // The §5.7 shutoff switch gates the codec here too — but
             // blockstore writes are never *refused*: the block lands
-            // raw and a later backfill converts it. Durability first.
+            // raw (whatever record came with it) and a later backfill
+            // converts it. Durability first.
             let result = if shutoff_engaged(cfg) {
                 metrics.shutoff_refusals.inc();
-                store.put_raw(payload)
+                store.put_raw(put.original).map(|key| (key, None))
             } else {
-                store.put(payload)
+                match put.record {
+                    Some((format, record)) => store
+                        .put_record(put.original, format, record)
+                        .map(|key| (key, None)),
+                    None => store.put_admitted(put.original),
+                }
             };
             lepton_obs::mark_stage("store");
+            let bytes_in = put.original.len() as u64;
             match result {
-                Ok(key) => {
+                Ok((key, written)) => {
                     metrics.served.inc();
                     shared.watchdog.record_event(false, false);
-                    span.finish("ok", payload.len() as u64, 32);
-                    (Status::Ok, key.to_vec())
+                    span.finish("ok", bytes_in, 32);
+                    let body = match op {
+                        Op::BlockPut => key.to_vec(),
+                        _ => RecordPut::reply(&key, written.as_ref()),
+                    };
+                    (Status::Ok, body)
                 }
                 // A read-only latch sheds the write with a typed
                 // transient status: the bytes are fine, this replica's
@@ -818,13 +849,13 @@ fn execute_block_op(
                 // the signal instead.
                 Err(StoreError::ReadOnly(_)) => {
                     metrics.shed.inc();
-                    span.finish("read_only", payload.len() as u64, 0);
+                    span.finish("read_only", bytes_in, 0);
                     (Status::ReadOnly, Vec::new())
                 }
                 Err(_) => {
                     metrics.failed.inc();
                     shared.watchdog.record_event(false, true);
-                    span.finish("storage_failed", payload.len() as u64, 0);
+                    span.finish("storage_failed", bytes_in, 0);
                     (Status::StorageFailed, Vec::new())
                 }
             }

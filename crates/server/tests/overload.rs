@@ -189,6 +189,69 @@ fn burst_past_admission_limit_is_shed_with_typed_rejections() {
     handle.shutdown();
 }
 
+/// The record-carrying put is compress-side work too: a pipelined
+/// burst past the admission limit is shed with `Overloaded`, exactly
+/// like `BlockPut`, and what was admitted lands in the store.
+#[test]
+fn record_put_burst_is_shed_like_block_put() {
+    use lepton_server::protocol::RecordPut;
+    use lepton_storage::blockstore::{ShardedStore, StoreConfig};
+    use lepton_storage::StoredFormat;
+    use std::sync::Arc;
+
+    let root = std::env::temp_dir().join(format!("lepton-overload-rp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = Arc::new(ShardedStore::open(&root, StoreConfig::default()).unwrap());
+    let cfg = ServiceConfig {
+        conversion_workers: 1,
+        job_queue_depth: 1,
+        blockstore: Some(Arc::clone(&store)),
+        ..Default::default()
+    };
+    let handle = serve(&tcp_any(), cfg).unwrap();
+    let jpeg = clean_jpeg(&spec(), 44);
+    let lepton = client::compress(handle.endpoint(), &jpeg, TIMEOUT).unwrap();
+    let record = Some((StoredFormat::Lepton, lepton.as_slice()));
+    let mut body = RecordPut::header(record).to_vec();
+    body.extend_from_slice(&lepton);
+    body.extend_from_slice(&jpeg);
+    handle.inject_delay(Duration::from_millis(300));
+
+    let mut mux = MuxClient::connect(handle.endpoint(), TIMEOUT).unwrap();
+    const BURST: usize = 6;
+    let ids: Vec<u32> = (0..BURST)
+        .map(|_| mux.send(Op::BlockPutRecord, &body).unwrap())
+        .collect();
+    let statuses: Vec<Status> = ids.iter().map(|&id| mux.recv(id).unwrap().0).collect();
+    let ok = statuses.iter().filter(|s| **s == Status::Ok).count();
+    let shed = statuses
+        .iter()
+        .filter(|s| **s == Status::Overloaded)
+        .count();
+    assert_eq!(
+        ok + shed,
+        BURST,
+        "every frame answered, typed: {statuses:?}"
+    );
+    assert!(
+        shed >= BURST - 3,
+        "expected real shedding, got {statuses:?}"
+    );
+    assert!(ok >= 1, "admitted work completes: {statuses:?}");
+    assert_eq!(handle.metrics().shed.get(), shed as u64);
+    // The first admitted frame proved and stored the record; the rest
+    // were dedup hits.
+    assert_eq!(store.metrics.peer_records.get(), 1);
+    assert_eq!(
+        client::block_get(handle.endpoint(), &store.keys().unwrap()[0], TIMEOUT)
+            .unwrap()
+            .unwrap(),
+        jpeg
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// An oversized frame is policed before allocation and answered with
 /// a typed `TooLarge` on the reserved id; the connection then closes
 /// instead of trying to resynchronize mid-stream.

@@ -475,6 +475,52 @@ fn shutoff_switch_lands_block_puts_raw() {
 }
 
 #[test]
+fn shutoff_switch_lands_record_puts_raw() {
+    use lepton_storage::blockstore::{ShardedStore, StoreConfig};
+    use lepton_storage::StoredFormat;
+
+    let root = std::env::temp_dir().join(format!("lepton-svc-shutoff-rp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let switch = std::env::temp_dir().join(format!("lepton-svc-rp-switch-{}", std::process::id()));
+    let _ = std::fs::remove_file(&switch);
+    let store = Arc::new(ShardedStore::open(&root, StoreConfig::default()).unwrap());
+    let cfg = ServiceConfig {
+        blockstore: Some(Arc::clone(&store)),
+        shutoff_file: Some(switch.clone()),
+        ..Default::default()
+    };
+    let handle = serve(&Endpoint::uds(temp_sock("rp-off")), cfg).unwrap();
+    let ep = handle.endpoint();
+    let jpeg = clean_jpeg(&spec(), 42);
+    let blob = b"a block admitted while the switch is on".repeat(20);
+    let lepton = client::compress(ep, &jpeg, TIMEOUT).unwrap();
+
+    // Switch engaged: a peer's verified record is not admitted, and a
+    // put without a record runs no codec — both blocks land raw.
+    std::fs::write(&switch, b"on").unwrap();
+    let (key, written) =
+        client::block_put_record(ep, &jpeg, Some((StoredFormat::Lepton, &lepton)), TIMEOUT)
+            .unwrap();
+    assert_eq!(written, None);
+    assert_eq!(store.format_of(&key).unwrap(), Some(StoredFormat::Raw));
+    assert_eq!(store.metrics.peer_records.get(), 0);
+    assert_eq!(client::block_get(ep, &key, TIMEOUT).unwrap().unwrap(), jpeg);
+    let (bkey, _) = client::block_put_record(ep, &blob, None, TIMEOUT).unwrap();
+    assert_eq!(store.format_of(&bkey).unwrap(), Some(StoredFormat::Raw));
+    assert_eq!(handle.metrics().shutoff_refusals.get(), 2);
+
+    // Switch released: the same record is proven and admitted.
+    std::fs::remove_file(&switch).unwrap();
+    assert!(store.quarantine(&key).unwrap());
+    client::block_put_record(ep, &jpeg, Some((StoredFormat::Lepton, &lepton)), TIMEOUT).unwrap();
+    assert_eq!(store.format_of(&key).unwrap(), Some(StoredFormat::Lepton));
+    assert_eq!(store.metrics.peer_records.get(), 1);
+    assert_eq!(client::block_get(ep, &key, TIMEOUT).unwrap().unwrap(), jpeg);
+    handle.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
 fn block_ops_without_store_are_bad_requests() {
     let handle = serve(
         &Endpoint::uds(temp_sock("nostore")),

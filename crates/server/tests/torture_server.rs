@@ -178,3 +178,74 @@ fn budget_starved_block_get_is_rejected_with_the_decode_row() {
     assert!(reader.get(&key).unwrap().is_some());
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn malformed_record_put_bodies_get_a_clean_refusal() {
+    use lepton_server::protocol::RecordPut;
+    use lepton_server::Op;
+    use lepton_storage::StoredFormat;
+
+    let root = temp_dir("record-put");
+    let store = Arc::new(ShardedStore::open(&root, StoreConfig::default()).unwrap());
+    let cfg = ServiceConfig {
+        blockstore: Some(Arc::clone(&store)),
+        ..Default::default()
+    };
+    let handle = serve(&tcp_any(), cfg).unwrap();
+    let jpeg = clean_jpeg(&spec(), 0x4EC);
+    let record = b"a stand-in container".to_vec();
+    let mut well_formed = RecordPut::header(Some((StoredFormat::Lepton, &record))).to_vec();
+    well_formed.extend_from_slice(&record);
+    well_formed.extend_from_slice(&jpeg);
+
+    let mut cases: Vec<(String, Vec<u8>)> = (0..RecordPut::header(None).len())
+        .map(|n| {
+            (
+                format!("length prefix cut to {n} bytes"),
+                well_formed[..n].to_vec(),
+            )
+        })
+        .collect();
+    for len in [well_formed.len() as u32, u32::MAX] {
+        let mut past_end = well_formed.clone();
+        past_end[1..5].copy_from_slice(&len.to_le_bytes());
+        cases.push((format!("record length {len} past the end"), past_end));
+    }
+    let mut unknown = well_formed.clone();
+    unknown[0] = 0xEE;
+    cases.push(("unknown format tag".into(), unknown));
+    let mut raw_with_record = well_formed.clone();
+    raw_with_record[0] = StoredFormat::Raw.to_byte();
+    cases.push(("raw tag with a record".into(), raw_with_record));
+
+    for (label, body) in &cases {
+        match client::convert(handle.endpoint(), Op::BlockPutRecord, body, TIMEOUT) {
+            Ok((Status::BadRequest, reply)) => assert!(reply.is_empty(), "{label}"),
+            other => panic!("{label}: expected a clean BadRequest, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        store.keys().unwrap().len(),
+        0,
+        "nothing malformed was stored"
+    );
+    // The well-formed body with a bogus record still lands, byte-exact,
+    // through the local fallback.
+    let (key, _) = client::block_put_record(
+        handle.endpoint(),
+        &jpeg,
+        Some((StoredFormat::Lepton, &record)),
+        TIMEOUT,
+    )
+    .unwrap();
+    assert_eq!(
+        client::block_get(handle.endpoint(), &key, TIMEOUT)
+            .unwrap()
+            .unwrap(),
+        jpeg
+    );
+    assert_eq!(store.metrics.roundtrip_failures.get(), 1);
+    client::ping(handle.endpoint(), TIMEOUT).unwrap();
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}

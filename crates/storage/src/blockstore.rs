@@ -44,6 +44,12 @@ const HEADER_LEN: usize = 4 + 1 + 8;
 /// payload: `(format, original length, file)`.
 type OpenRecord = (StoredFormat, u64, Box<dyn crate::vfs::VfsFile>);
 
+/// The record a put committed, in the shape another replica can admit
+/// it through [`ShardedStore::put_record`]: the at-rest format and,
+/// for Lepton, the container (empty for raw — the original is the
+/// payload).
+pub type Record = (StoredFormat, Vec<u8>);
+
 /// Errors the disk-backed store can report.
 #[derive(Debug)]
 pub enum StoreError {
@@ -144,8 +150,12 @@ pub struct ShardedMetrics {
     pub bytes_in: Arc<Counter>,
     /// Payload bytes written at `put` (headers excluded).
     pub bytes_stored: Arc<Counter>,
-    /// Round-trip mismatches at admission (fell back to raw).
+    /// Round-trip mismatches at admission (fell back to raw), and
+    /// peer records that failed their proof (fell back to a local put).
     pub roundtrip_failures: Arc<Counter>,
+    /// Blocks admitted from a peer replica's verified Lepton record
+    /// instead of a local encode (a subset of `lepton_blocks`).
+    pub peer_records: Arc<Counter>,
     /// Blocks converted to Lepton in place by `backfill`.
     pub backfill_conversions: Arc<Counter>,
     /// Reads served from the decoded-block cache.
@@ -564,21 +574,33 @@ impl ShardedStore {
     /// original bytes are retrievable forever after — whatever encoding
     /// won at admission.
     pub fn put(&self, data: &[u8]) -> Result<Digest, StoreError> {
-        self.put_with(data, true)
+        self.put_with(data, true).map(|(key, _)| key)
     }
 
     /// Store a block without running the codec — the per-request
     /// shutoff path (§5.7): writes are never refused, they just land
     /// raw, and a later [`ShardedStore::backfill`] converts them.
     pub fn put_raw(&self, data: &[u8]) -> Result<Digest, StoreError> {
-        self.put_with(data, false)
+        self.put_with(data, false).map(|(key, _)| key)
     }
 
-    fn put_with(&self, data: &[u8], compress: bool) -> Result<Digest, StoreError> {
+    /// [`put`](Self::put) that also hands back the [`Record`] it
+    /// committed (`None` when the block was already present), so a
+    /// replicated write can pass the record on to further replicas
+    /// through [`put_record`](Self::put_record) instead of making each
+    /// of them encode the block again.
+    pub fn put_admitted(&self, data: &[u8]) -> Result<(Digest, Option<Record>), StoreError> {
+        self.put_with(data, true)
+    }
+
+    fn put_with(
+        &self,
+        data: &[u8],
+        compress: bool,
+    ) -> Result<(Digest, Option<Record>), StoreError> {
         let key = sha256(data);
-        let path = self.block_path(&key);
-        if self.vfs.exists(&path) {
-            return Ok(key); // content-addressed dedup
+        if self.contains(&key) {
+            return Ok((key, None)); // content-addressed dedup
         }
         // Shed before paying the codec: a read-only store refuses the
         // write either way, so don't burn CPU discovering it late.
@@ -586,26 +608,86 @@ impl ShardedStore {
 
         // Encode outside the shard lock: the codec is the expensive
         // part and needs no coordination.
-        let compress = compress && self.cfg.compress_on_write;
-        let (format, payload) = if compress && looks_like_jpeg(data) {
-            match self.try_admit(data) {
-                Some(lepton) => (StoredFormat::Lepton, lepton),
-                None => (StoredFormat::Raw, data.to_vec()),
-            }
+        let lepton = if compress && self.cfg.compress_on_write && looks_like_jpeg(data) {
+            self.try_admit(data)
         } else {
-            (StoredFormat::Raw, data.to_vec())
+            None
         };
+        let format = match lepton {
+            Some(_) => StoredFormat::Lepton,
+            None => StoredFormat::Raw,
+        };
+        let written = self.commit(&key, data, format, lepton.as_deref().unwrap_or(data))?;
+        Ok((key, written.then(|| (format, lepton.unwrap_or_default()))))
+    }
 
-        let shard = self.shard_of(&key);
+    /// Store a block from the record a peer replica committed for it —
+    /// the second hop of a replicated put, which skips the encode.
+    ///
+    /// A raw record is stored raw. A Lepton record is admitted only
+    /// after the proof this store's own gate demands: it must be
+    /// smaller than the original, and two full decodes under this
+    /// store's decode budget must each give back the original byte for
+    /// byte. A record that fails the proof counts a round-trip failure
+    /// and the block goes through the local [`put`](Self::put)
+    /// instead, so a damaged or hostile record costs CPU, never bytes.
+    /// With `compress_on_write` off the block lands raw, as any put
+    /// would.
+    pub fn put_record(
+        &self,
+        data: &[u8],
+        format: StoredFormat,
+        record: &[u8],
+    ) -> Result<Digest, StoreError> {
+        if format == StoredFormat::Raw || !self.cfg.compress_on_write {
+            return self.put_raw(data);
+        }
+        let key = sha256(data);
+        if self.contains(&key) {
+            return Ok(key);
+        }
+        self.check_writable()?;
+        // The record must be exactly one container: the decoder stops
+        // at the terminator, so trailing bytes would pass the decodes
+        // and still be stored.
+        let proven = format == StoredFormat::Lepton
+            && record.len() < data.len()
+            && looks_like_jpeg(data)
+            && lepton_core::format::container_len(record).ok() == Some(record.len())
+            && self.decodes_to(record, data)
+            && self.decodes_to(record, data);
+        if !proven {
+            self.metrics.roundtrip_failures.inc();
+            return self.put(data);
+        }
+        if self.commit(&key, data, StoredFormat::Lepton, record)? {
+            self.metrics.peer_records.inc();
+        }
+        Ok(key)
+    }
+
+    /// The commit tail every put shares: under the shard lock, re-check
+    /// for a writer of the same content that landed first, write the
+    /// record crash-safely, retire any quarantine tombstone, count.
+    /// Returns whether this call wrote the record.
+    fn commit(
+        &self,
+        key: &Digest,
+        data: &[u8],
+        format: StoredFormat,
+        payload: &[u8],
+    ) -> Result<bool, StoreError> {
+        let path = self.block_path(key);
+        let shard = self.shard_of(key);
         let guard = shard.write_lock.lock();
         if self.vfs.exists(&path) {
-            return Ok(key); // raced with another writer of the same content
+            return Ok(false); // raced with another writer of the same content
         }
-        self.write_record(shard, &path, format, data.len() as u64, &payload)?;
+        self.write_record(shard, &path, format, data.len() as u64, payload)?;
         // A fresh, verified record supersedes any quarantined one: the
         // tombstone must not keep reporting damage that has been
         // repaired.
-        let _ = self.vfs.remove_file(&self.quarantine_path(&key));
+        let _ = self.vfs.remove_file(&self.quarantine_path(key));
         drop(guard);
 
         self.metrics.bytes_in.add(data.len() as u64);
@@ -615,7 +697,7 @@ impl ShardedStore {
             _ => &self.metrics.raw_blocks,
         }
         .inc();
-        Ok(key)
+        Ok(true)
     }
 
     /// The commit gate: compress, then prove the round trip against
@@ -627,17 +709,8 @@ impl ShardedStore {
         let lepton = lepton_core::Engine::global().compress(data, &opts).ok()?;
         // compress() already verified internally, but the blockstore
         // commit gate trusts nothing it did not check itself (§5.6
-        // "double-checks the result"). The check must decode with the
-        // store's own model config — the container does not carry it.
-        let dec_opts = lepton_core::DecompressOptions {
-            model: opts.model,
-            budget: opts.budget,
-        };
-        if lepton_core::Engine::global()
-            .decompress_opts(&lepton, &dec_opts)
-            .as_deref()
-            == Ok(data)
-        {
+        // "double-checks the result").
+        if self.decodes_to(&lepton, data) {
             if lepton.len() < data.len() {
                 return Some(lepton);
             }
@@ -645,6 +718,24 @@ impl ShardedStore {
         }
         self.metrics.roundtrip_failures.inc();
         None
+    }
+
+    /// Decode options for every read and check: the store's own model
+    /// config (the container does not carry it) and decode budget.
+    fn decode_opts(&self) -> lepton_core::DecompressOptions {
+        lepton_core::DecompressOptions {
+            model: self.cfg.compress.model,
+            budget: self.cfg.compress.budget,
+        }
+    }
+
+    /// One full decode of `lepton`, compared byte for byte with
+    /// `original`.
+    fn decodes_to(&self, lepton: &[u8], original: &[u8]) -> bool {
+        lepton_core::Engine::global()
+            .decompress_opts(lepton, &self.decode_opts())
+            .as_deref()
+            == Ok(original)
     }
 
     /// Write a block record crash-safely: temp file in the shard dir,
@@ -676,7 +767,7 @@ impl ShardedStore {
             let always_latch = |e: io::Error| (e, true);
             let mut f = self.vfs.create(&tmp).map_err(enospc_only)?;
             f.write_all(&RECORD_MAGIC).map_err(enospc_only)?;
-            f.write_all(&[format_byte(format)]).map_err(enospc_only)?;
+            f.write_all(&[format.to_byte()]).map_err(enospc_only)?;
             f.write_all(&original_len.to_le_bytes())
                 .map_err(enospc_only)?;
             f.write_all(payload).map_err(enospc_only)?;
@@ -729,7 +820,9 @@ impl ShardedStore {
             None => return Ok(None),
         };
         let decoded = self.decode_and_verify(key, format, original_len, payload)?;
-        if self.cfg.cache_bytes > 0 {
+        // Copy only what the cache will keep: a block larger than one
+        // cache shard is never cached.
+        if self.cfg.cache_bytes > 0 && decoded.len() <= self.cfg.cache_bytes / self.shards.len() {
             shard.cache.lock().insert(*key, decoded.clone());
         }
         Ok(Some(decoded))
@@ -751,11 +844,7 @@ impl ShardedStore {
         let decoded = match format {
             StoredFormat::Lepton => {
                 // Same model config the admission gate wrote with.
-                let dec_opts = lepton_core::DecompressOptions {
-                    model: self.cfg.compress.model,
-                    budget: self.cfg.compress.budget,
-                };
-                match lepton_core::Engine::global().decompress_opts(&payload, &dec_opts) {
+                match lepton_core::Engine::global().decompress_opts(&payload, &self.decode_opts()) {
                     Ok(jpeg) => jpeg,
                     // A budget refusal is a *policy* outcome, not
                     // damage: the record stays healthy and is never
@@ -810,7 +899,7 @@ impl ShardedStore {
         if header[..4] != RECORD_MAGIC {
             return Err(self.corrupt(self.shard_of(key), key));
         }
-        let Some(format) = parse_format(header[4]) else {
+        let Some(format) = StoredFormat::from_byte(header[4]) else {
             return Err(self.corrupt(self.shard_of(key), key));
         };
         let original_len = u64::from_le_bytes(header[5..13].try_into().expect("8 bytes"));
@@ -884,6 +973,7 @@ impl ShardedStore {
             ("bytes_in", &m.bytes_in),
             ("bytes_stored", &m.bytes_stored),
             ("roundtrip_failures", &m.roundtrip_failures),
+            ("peer_records", &m.peer_records),
             ("backfill_conversions", &m.backfill_conversions),
             ("cache_hits", &m.cache_hits),
             ("cache_misses", &m.cache_misses),
@@ -1030,7 +1120,7 @@ impl ShardedStore {
         if header[..4] != RECORD_MAGIC {
             return Ok(true);
         }
-        let Some(format) = parse_format(header[4]) else {
+        let Some(format) = StoredFormat::from_byte(header[4]) else {
             return Ok(true);
         };
         let original_len = u64::from_le_bytes(header[5..13].try_into().expect("8 bytes"));
@@ -1233,23 +1323,6 @@ fn is_enospc(e: &io::Error) -> bool {
     e.raw_os_error() == Some(28) || matches!(e.kind(), io::ErrorKind::StorageFull)
 }
 
-fn format_byte(f: StoredFormat) -> u8 {
-    match f {
-        StoredFormat::Lepton => b'L',
-        StoredFormat::Deflate => b'Z',
-        StoredFormat::Raw => b'R',
-    }
-}
-
-fn parse_format(b: u8) -> Option<StoredFormat> {
-    match b {
-        b'L' => Some(StoredFormat::Lepton),
-        b'Z' => Some(StoredFormat::Deflate),
-        b'R' => Some(StoredFormat::Raw),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1415,6 +1488,113 @@ mod tests {
         let key = store.put_raw(&jpg).unwrap();
         assert_eq!(store.format_of(&key).unwrap(), Some(StoredFormat::Raw));
         assert_eq!(store.get(&key).unwrap().unwrap(), jpg);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_peer_record_is_admitted_without_an_encode() {
+        let (root_a, root_b) = (temp_root("peer-a"), temp_root("peer-b"));
+        let a = ShardedStore::open(&root_a, StoreConfig::default()).unwrap();
+        let b = ShardedStore::open(&root_b, StoreConfig::default()).unwrap();
+        let jpg = clean_jpeg(&spec(), 23);
+        let (key, written) = a.put_admitted(&jpg).unwrap();
+        let (format, record) = written.expect("a fresh put hands back its record");
+        assert_eq!(format, StoredFormat::Lepton);
+        assert_eq!(
+            a.put_admitted(&jpg).unwrap(),
+            (key, None),
+            "dedup: no record"
+        );
+
+        assert_eq!(b.put_record(&jpg, format, &record).unwrap(), key);
+        assert_eq!(b.metrics.peer_records.get(), 1);
+        assert_eq!(b.metrics.lepton_blocks.get(), 1);
+        assert_eq!(b.metrics.roundtrip_failures.get(), 0);
+        // Both replicas hold the same record, byte for byte.
+        assert_eq!(
+            std::fs::read(a.block_path(&key)).unwrap(),
+            std::fs::read(b.block_path(&key)).unwrap()
+        );
+        assert_eq!(b.get(&key).unwrap().unwrap(), jpg);
+        std::fs::remove_dir_all(&root_a).unwrap();
+        std::fs::remove_dir_all(&root_b).unwrap();
+    }
+
+    #[test]
+    fn a_record_that_fails_its_proof_falls_back_to_a_local_put() {
+        let root = temp_root("peer-bad");
+        let store = ShardedStore::open(&root, StoreConfig::default()).unwrap();
+        let jpg = clean_jpeg(&spec(), 24);
+        let other = clean_jpeg(&spec(), 25);
+        let lepton = lepton_core::compress(&jpg, &CompressOptions::default()).unwrap();
+        let mut tampered = lepton.clone();
+        let mid = tampered.len() / 2;
+        tampered[mid] ^= 0x10;
+        let wrong = lepton_core::compress(&other, &CompressOptions::default()).unwrap();
+        let cases: [(&str, &[u8], StoredFormat, &[u8]); 4] = [
+            ("tampered", &jpg, StoredFormat::Lepton, &tampered),
+            ("another block's record", &jpg, StoredFormat::Lepton, &wrong),
+            ("not smaller", &jpg, StoredFormat::Lepton, &jpg),
+            ("deflate tag", &other, StoredFormat::Deflate, &wrong),
+        ];
+        for (i, (what, original, format, record)) in cases.into_iter().enumerate() {
+            let key = store.put_record(original, format, record).unwrap();
+            assert_eq!(
+                store.metrics.roundtrip_failures.get(),
+                i as u64 + 1,
+                "{what}"
+            );
+            assert_eq!(store.get(&key).unwrap().unwrap(), original, "{what}");
+            // The local admission stands in: Lepton, from its own encode.
+            assert_eq!(store.format_of(&key).unwrap(), Some(StoredFormat::Lepton));
+            store.quarantine(&key).unwrap();
+        }
+        assert_eq!(store.metrics.peer_records.get(), 0);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn raw_records_and_the_shutoff_land_raw() {
+        let root = temp_root("peer-raw");
+        let jpg = clean_jpeg(&spec(), 26);
+        let lepton = lepton_core::compress(&jpg, &CompressOptions::default()).unwrap();
+        let store = ShardedStore::open(&root, StoreConfig::default()).unwrap();
+        let key = store.put_record(&jpg, StoredFormat::Raw, &[]).unwrap();
+        assert_eq!(store.format_of(&key).unwrap(), Some(StoredFormat::Raw));
+        drop(store);
+        std::fs::remove_dir_all(&root).unwrap();
+
+        let off = StoreConfig {
+            compress_on_write: false,
+            ..Default::default()
+        };
+        let store = ShardedStore::open(&root, off).unwrap();
+        let key = store
+            .put_record(&jpg, StoredFormat::Lepton, &lepton)
+            .unwrap();
+        assert_eq!(store.format_of(&key).unwrap(), Some(StoredFormat::Raw));
+        assert_eq!(store.metrics.peer_records.get(), 0);
+        assert_eq!(store.get(&key).unwrap().unwrap(), jpg);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn blocks_larger_than_a_cache_shard_are_not_cached() {
+        let root = temp_root("cache-big");
+        let cfg = StoreConfig {
+            shards: 2,
+            cache_bytes: 2 << 10,
+            ..Default::default()
+        };
+        let store = ShardedStore::open(&root, cfg).unwrap();
+        let big = store.put(&[7u8; 1500]).unwrap();
+        let small = store.put(&[8u8; 500]).unwrap();
+        for _ in 0..2 {
+            assert_eq!(store.get(&big).unwrap().unwrap(), [7u8; 1500]);
+            assert_eq!(store.get(&small).unwrap().unwrap(), [8u8; 500]);
+        }
+        assert_eq!(store.metrics.cache_misses.get(), 3, "big misses twice");
+        assert_eq!(store.metrics.cache_hits.get(), 1);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

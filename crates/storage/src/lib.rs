@@ -42,6 +42,28 @@ pub enum StoredFormat {
     Raw,
 }
 
+impl StoredFormat {
+    /// The one-byte tag a block record carries, on disk and on the
+    /// wire.
+    pub fn to_byte(self) -> u8 {
+        match self {
+            StoredFormat::Lepton => b'L',
+            StoredFormat::Deflate => b'Z',
+            StoredFormat::Raw => b'R',
+        }
+    }
+
+    /// Decode a record tag; `None` for anything unknown.
+    pub fn from_byte(b: u8) -> Option<StoredFormat> {
+        match b {
+            b'L' => Some(StoredFormat::Lepton),
+            b'Z' => Some(StoredFormat::Deflate),
+            b'R' => Some(StoredFormat::Raw),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 struct StoredChunk {
     format: StoredFormat,

@@ -1,7 +1,8 @@
 //! The crash matrix: the store's durability invariant, proven by
 //! exhaustion.
 //!
-//! One seeded put/get/backfill/scrub workload runs once fault-free to
+//! One seeded put/record-put/get/backfill/scrub workload runs once
+//! fault-free to
 //! count its mutating filesystem operations, then runs again *N* times
 //! over [`FaultVfs`] — once per injection point — with the power cut at
 //! exactly that operation. After every crash the store is rebooted and
@@ -23,6 +24,7 @@ use lepton_corpus::{Corpus, CorpusSpec};
 use lepton_storage::blockstore::{ShardedStore, StoreConfig, StoreError};
 use lepton_storage::sha256::{sha256, Digest};
 use lepton_storage::vfs::{FaultConfig, FaultVfs, Vfs};
+use lepton_storage::StoredFormat;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,6 +40,65 @@ fn store_cfg() -> StoreConfig {
         compress_on_write: false,
         ..StoreConfig::default()
     }
+}
+
+/// The matrix store encodes on write, so a peer record can be proven
+/// and admitted; the plain puts go through `put_raw`, which is what
+/// `put` is on a `compress_on_write: false` store, so `backfill` still
+/// has raw JPEGs to convert.
+fn matrix_cfg() -> StoreConfig {
+    StoreConfig {
+        compress_on_write: true,
+        ..store_cfg()
+    }
+}
+
+/// A put that carries a peer replica's record.
+struct RecordPut {
+    original: Vec<u8>,
+    format: StoredFormat,
+    record: Vec<u8>,
+}
+
+/// Record puts for the workload: true Lepton records (admitted after
+/// their proof), a tampered one (refused, so the local encode runs
+/// under the matrix too), and a raw record.
+fn record_puts(seed: u64) -> Vec<RecordPut> {
+    let corpus = Corpus::generate(&CorpusSpec {
+        count: 8,
+        min_dim: 48,
+        max_dim: 64,
+        clean_fraction: 1.0,
+        seed: seed ^ 0x2EC0,
+    });
+    let opts = matrix_cfg().compress;
+    // Only JPEGs the codec shrinks: a record no smaller than its
+    // original is refused by design.
+    let mut puts: Vec<RecordPut> = corpus
+        .files
+        .into_iter()
+        .map(|f| RecordPut {
+            record: lepton_core::compress(&f.data, &opts).expect("clean JPEG compresses"),
+            original: f.data,
+            format: StoredFormat::Lepton,
+        })
+        .filter(|p| p.record.len() < p.original.len())
+        .take(3)
+        .collect();
+    assert_eq!(
+        puts.len(),
+        3,
+        "the corpus has three JPEGs the codec shrinks"
+    );
+    let last = puts.last_mut().expect("three puts");
+    let mid = last.record.len() / 2;
+    last.record[mid] ^= 0x20;
+    puts.push(RecordPut {
+        original: b"a raw record: the original is the payload".repeat(9),
+        format: StoredFormat::Raw,
+        record: Vec::new(),
+    });
+    puts
 }
 
 /// Deterministic workload bytes: seeded pseudo-random blobs plus a few
@@ -76,13 +137,22 @@ fn run_workload(
     vfs: &Arc<FaultVfs>,
     store: &ShardedStore,
     blobs: &[Vec<u8>],
+    records: &[RecordPut],
     acked: &mut Vec<(Digest, Vec<u8>)>,
 ) {
+    let mut records = records.iter();
     for (i, blob) in blobs.iter().enumerate() {
-        match store.put(blob) {
+        match store.put_raw(blob) {
             Ok(key) => acked.push((key, blob.clone())),
             Err(StoreError::Io(_) | StoreError::ReadOnly(_)) => {}
             Err(e) => panic!("put may fail only with a typed I/O error, got {e:?}"),
+        }
+        if let Some(put) = records.next() {
+            match store.put_record(&put.original, put.format, &put.record) {
+                Ok(key) => acked.push((key, put.original.clone())),
+                Err(StoreError::Io(_) | StoreError::ReadOnly(_)) => {}
+                Err(e) => panic!("record put may fail only with a typed I/O error, got {e:?}"),
+            }
         }
         // Interleave reads: while the machine is up, an acked put must
         // already read back exactly.
@@ -103,7 +173,12 @@ fn run_workload(
 }
 
 /// Assert the durability invariant against a freshly recovered store.
-fn assert_invariant(store: &ShardedStore, blobs: &[Vec<u8>], acked: &[(Digest, Vec<u8>)]) {
+fn assert_invariant(
+    store: &ShardedStore,
+    blobs: &[Vec<u8>],
+    records: &[RecordPut],
+    acked: &[(Digest, Vec<u8>)],
+) {
     for (key, expect) in acked {
         let got = store
             .get(key)
@@ -111,7 +186,7 @@ fn assert_invariant(store: &ShardedStore, blobs: &[Vec<u8>], acked: &[(Digest, V
             .unwrap_or_else(|| panic!("acked put missing after recovery"));
         assert_eq!(&got, expect, "acked put must be byte-exact");
     }
-    for blob in blobs {
+    for blob in blobs.iter().chain(records.iter().map(|r| &r.original)) {
         let key = sha256(blob);
         match store.get(&key) {
             Ok(Some(got)) => assert_eq!(&got, blob, "a present block must be complete"),
@@ -143,15 +218,28 @@ fn crash_at_every_injection_point_preserves_acked_puts() {
 
     for &seed in seeds {
         let blobs = workload_blobs(seed);
+        let records = record_puts(seed);
+        assert!(
+            records.len() <= blobs.len(),
+            "each record put follows a put"
+        );
 
         // Fault-free replay: size the matrix.
         let vfs = FaultVfs::new(FaultConfig::default());
-        let store = ShardedStore::open_on(vfs.clone() as Arc<dyn Vfs>, root, store_cfg())
+        let store = ShardedStore::open_on(vfs.clone() as Arc<dyn Vfs>, root, matrix_cfg())
             .expect("fault-free open");
         let mut acked = Vec::new();
-        run_workload(&vfs, &store, &blobs, &mut acked);
-        assert_eq!(acked.len(), blobs.len(), "fault-free run acks everything");
-        assert_invariant(&store, &blobs, &acked);
+        run_workload(&vfs, &store, &blobs, &records, &mut acked);
+        assert_eq!(
+            acked.len(),
+            blobs.len() + records.len(),
+            "fault-free run acks everything"
+        );
+        // Two true records were proven and admitted; the tampered one
+        // fell back to the local encode.
+        assert_eq!(store.metrics.peer_records.get(), 2);
+        assert_eq!(store.metrics.roundtrip_failures.get(), 1);
+        assert_invariant(&store, &blobs, &records, &acked);
         let ops = vfs.op_count();
         assert!(ops > 0, "workload must touch the disk");
         total_points += ops;
@@ -161,19 +249,20 @@ fn crash_at_every_injection_point_preserves_acked_puts() {
             let vfs = FaultVfs::new(FaultConfig::crash_only(seed, k));
             let mut acked = Vec::new();
             // A crash during open itself is fine: nothing acked yet.
-            if let Ok(store) = ShardedStore::open_on(vfs.clone() as Arc<dyn Vfs>, root, store_cfg())
+            if let Ok(store) =
+                ShardedStore::open_on(vfs.clone() as Arc<dyn Vfs>, root, matrix_cfg())
             {
-                run_workload(&vfs, &store, &blobs, &mut acked);
+                run_workload(&vfs, &store, &blobs, &records, &mut acked);
             }
             assert!(vfs.crashed(), "crash point {k} within the replayed ops");
             faults_injected += vfs.fault_log().len() as u64;
 
             vfs.reboot();
             let t0 = Instant::now();
-            let store = ShardedStore::open_on(vfs.clone() as Arc<dyn Vfs>, root, store_cfg())
+            let store = ShardedStore::open_on(vfs.clone() as Arc<dyn Vfs>, root, matrix_cfg())
                 .unwrap_or_else(|e| panic!("reopen after crash at {k} must recover: {e:?}"));
             recovery_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            assert_invariant(&store, &blobs, &acked);
+            assert_invariant(&store, &blobs, &records, &acked);
             crashes_survived += 1;
         }
     }

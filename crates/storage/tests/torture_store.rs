@@ -171,3 +171,57 @@ fn default_budget_passes_the_corpus_through_the_store() {
     assert_eq!(store.metrics.budget_rejections.get(), 0);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn mutated_and_hostile_peer_records_are_never_admitted() {
+    // A peer record arrives from the network: every mutation of a true
+    // container, and every hostile input posing as one, is paired with
+    // the true original. None may be admitted as the peer's record;
+    // each falls back to the local put and reads back byte-exact.
+    let root = temp_root("peer-records");
+    let store = ShardedStore::open(
+        &root,
+        StoreConfig {
+            cache_bytes: 0,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let jpeg = clean_jpeg(&spec(), 0x9EE5);
+    let container = lepton_core::compress(&jpeg, &CompressOptions::default()).unwrap();
+    let mut records = mutation_matrix(&[("container", container)], &[0xF00D, 0xBEEF]);
+    records.retain(|c| !c.label.ends_with("pristine"));
+    records.extend(hostile_cases());
+    let mut admitted = Vec::new();
+    for (i, case) in records.iter().enumerate() {
+        let before = store.metrics.peer_records.get();
+        let outcome = probe(|| {
+            let key = store.put_record(&jpeg, StoredFormat::Lepton, &case.input)?;
+            store.get(&key).map(|got| (key, got))
+        })
+        .unwrap_or_else(|p| panic!("{}: PANIC: {p}", case.label));
+        let (key, got) = outcome.unwrap_or_else(|e| panic!("{}: put/get failed: {e}", case.label));
+        assert_eq!(
+            got.as_deref(),
+            Some(&jpeg[..]),
+            "{}: wrong bytes",
+            case.label
+        );
+        if store.metrics.peer_records.get() > before {
+            admitted.push(case.label.clone());
+        }
+        assert_eq!(
+            store.metrics.roundtrip_failures.get(),
+            (i + 1 - admitted.len()) as u64,
+            "{}: a refused record counts a round-trip failure",
+            case.label
+        );
+        // Clear the block so the next case is not a dedup hit.
+        assert!(store.quarantine(&key).unwrap());
+    }
+    assert!(
+        admitted.is_empty(),
+        "admitted mutated records: {admitted:?}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
